@@ -14,19 +14,11 @@ using namespace gt::bench;
 
 namespace {
 
-// I/O-path knobs (PR 6): each defaults to on and can be ablated
-// independently of the scheduling knobs above.
-struct IoPathKnobs {
-  size_t adjacency_cache_bytes = 16 << 20;  // 0 = cache off
-  bool batched_multiget = true;
-  bool arena_scratch = true;
-};
-
 double RunConfigured(const graph::RefGraph& g, graph::Catalog* catalog,
                      const lang::TraversalPlan& plan, const BenchConfig& cfg,
                      uint32_t servers, bool merging, bool priority,
                      size_t cache_capacity, engine::EngineMode mode,
-                     const IoPathKnobs& io = {}) {
+                     size_t adjacency_cache_bytes = 16 << 20) {
   engine::ClusterConfig ccfg;
   ccfg.num_servers = servers;
   ccfg.workers_per_server = cfg.workers_per_server;
@@ -37,9 +29,7 @@ double RunConfigured(const graph::RefGraph& g, graph::Catalog* catalog,
   ccfg.graphtrek_merging = merging;
   ccfg.graphtrek_priority_sched = priority;
   ccfg.cache_capacity = cache_capacity;
-  ccfg.adjacency_cache_bytes = io.adjacency_cache_bytes;
-  ccfg.batched_multiget = io.batched_multiget;
-  ccfg.arena_scratch = io.arena_scratch;
+  ccfg.adjacency_cache_bytes = adjacency_cache_bytes;  // 0 = cache off
   auto cluster = engine::Cluster::Create(ccfg);
   if (!cluster.ok()) std::abort();
   (*cluster)->catalog()->CopyFrom(*catalog);
@@ -96,31 +86,23 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
 
-  // I/O-path ablation (DESIGN.md "Adjacency cache & batched frontier I/O"):
-  // the three hot-path optimizations below are orthogonal to the scheduling
-  // knobs above and to each other; each row disables exactly one (last row:
-  // all three) while the traversal semantics stay bit-identical.
+  // I/O-path ablation (DESIGN.md "Adjacency cache & merged vertex I/O"):
+  // the CSR adjacency cache is orthogonal to the scheduling knobs above,
+  // and the traversal semantics stay bit-identical with it off.
   std::printf("\nI/O-path ablation (GraphTrek, merge+priority on):\n");
   struct IoVariant {
     const char* name;
-    IoPathKnobs io;
+    size_t adjacency_cache_bytes;
   };
-  IoVariant io_variants[] = {
-      {"full I/O path", {}},
-      {"  - adj cache off", {}},
-      {"  - batched MultiGet off", {}},
-      {"  - arena scratch off", {}},
-      {"  - all three off", {}},
+  const IoVariant io_variants[] = {
+      {"full I/O path", 16 << 20},
+      {"  - adj cache off", 0},
   };
-  io_variants[1].io.adjacency_cache_bytes = 0;
-  io_variants[2].io.batched_multiget = false;
-  io_variants[3].io.arena_scratch = false;
-  io_variants[4].io = {0, false, false};
   std::printf("%-26s %12s\n", "variant", "elapsed");
   for (const auto& v : io_variants) {
     const double ms =
         RunConfigured(g, &catalog, plan, cfg, servers, true, true, big_cache,
-                      engine::EngineMode::kGraphTrek, v.io);
+                      engine::EngineMode::kGraphTrek, v.adjacency_cache_bytes);
     std::printf("%-26s %9.1f ms\n", v.name, ms);
     std::fflush(stdout);
   }

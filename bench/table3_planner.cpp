@@ -1,10 +1,9 @@
-// Planner ablation on Table III-style Darshan audit queries (PR 10): the
+// Planner ablation on Table III-style Darshan audit queries: the
 // suspicious-user audits rewritten with the extended GTravel steps
 // (count/group/path/branch/until) and run twice — once against a cluster
 // with the statistics-driven planner off, once with it on — on all three
 // engines. The planner's rewrites (selectivity-ordered filter lists,
-// type-scan predicate pushdown, batched-vs-single fetch hints) are
-// result-identical by construction, so the bench doubles as a cheap
+// type-scan predicate pushdown) are result-identical by construction, so the bench doubles as a cheap
 // correctness gate: any on/off result divergence fails the run.
 //
 // Reported per query and engine: planner-off ms, planner-on ms, speedup.

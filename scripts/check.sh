@@ -64,9 +64,9 @@ ctest --test-dir build --output-on-failure --no-tests=error \
 step "bench smoke run (--smoke)"
 ctest --test-dir build --output-on-failure --no-tests=error -L bench_smoke
 
-# I/O-path ablation gate: the adjacency-cache / batched-MultiGet / arena
-# knobs must stay independently toggleable (the ablation binary sweeps each
-# one off in turn), and the cache's unit + differential coverage must run.
+# I/O-path ablation gate: the adjacency cache must stay toggleable (the
+# ablation binary runs the full I/O path and then the cache off), and the
+# cache's unit + differential coverage must run.
 # Explicit -R for the same reason as the sweeps above: a label or discovery
 # problem must not silently drop them.
 step "I/O-path ablation smoke + adjacency-cache tests"

@@ -1,11 +1,11 @@
 // Bump allocator shared by the KV memtable's skip list and the graph
-// layer's adjacency-cache rows / engine scratch buffers. Allocations live
-// until the arena is destroyed or Reset(); there is no per-allocation free.
+// layer's adjacency-cache rows. Allocations live until the arena is
+// destroyed; there is no per-allocation free.
 //
-// Thread-compatibility contract: Allocate/AllocateAligned/Reset must be
-// externally serialized (the memtable runs them under the DB write lock,
-// the engine uses one arena per worker thread); MemoryUsage() alone may be
-// read concurrently.
+// Thread-compatibility contract: Allocate/AllocateAligned must be
+// externally serialized (the memtable runs them under the DB write lock;
+// a cache row is built by one thread before it is published); MemoryUsage()
+// alone may be read concurrently.
 #pragma once
 
 #include <atomic>
@@ -69,21 +69,6 @@ class Arena {
     return total;
   }
 
-  // Discards every allocation. The first block is retained and reused so a
-  // per-batch scratch arena stops hitting the heap once it has grown to its
-  // working-set size.
-  void Reset() {
-    if (blocks_.size() > 1) blocks_.resize(1);
-    if (!blocks_.empty()) {
-      ptr_ = blocks_.front().first.get();
-      avail_ = blocks_.front().second;
-    } else {
-      ptr_ = nullptr;
-      avail_ = 0;
-    }
-    mem_.store(0, std::memory_order_relaxed);
-  }
-
  private:
   char* AllocateFallback(size_t bytes) {
     if (bytes > block_size_ / 4) {
@@ -107,40 +92,6 @@ class Arena {
   size_t avail_ = 0;
   std::vector<std::pair<std::unique_ptr<char[]>, size_t>> blocks_;
   std::atomic<size_t> mem_{0};
-};
-
-// Minimal std::allocator adapter over an Arena for short-lived scratch
-// containers on the engine's frame path. A null arena falls back to the
-// heap, which is how the `arena_scratch` ablation knob turns the
-// optimization off without forking container types. Arena-backed
-// deallocate is a no-op (memory is reclaimed by Arena::Reset()).
-template <typename T>
-class ArenaAllocator {
- public:
-  using value_type = T;
-
-  ArenaAllocator() = default;
-  explicit ArenaAllocator(Arena* arena) : arena_(arena) {}
-  template <typename U>
-  ArenaAllocator(const ArenaAllocator<U>& o) : arena_(o.arena()) {}
-
-  T* allocate(size_t n) {
-    if (arena_ == nullptr) {
-      return static_cast<T*>(::operator new(n * sizeof(T)));
-    }
-    return reinterpret_cast<T*>(arena_->AllocateAligned(n * sizeof(T)));
-  }
-  void deallocate(T* p, size_t) {
-    if (arena_ == nullptr) ::operator delete(p);
-  }
-
-  Arena* arena() const { return arena_; }
-
-  bool operator==(const ArenaAllocator& o) const { return arena_ == o.arena_; }
-  bool operator!=(const ArenaAllocator& o) const { return arena_ != o.arena_; }
-
- private:
-  Arena* arena_ = nullptr;
 };
 
 }  // namespace gt

@@ -17,7 +17,7 @@
 #include <cstdint>
 #include <thread>
 
-#include "src/common/rng.h"
+#include "src/common/hash.h"
 
 namespace gt {
 
@@ -41,7 +41,10 @@ struct DeviceModelConfig {
 
 class DeviceModel {
  public:
-  explicit DeviceModel(DeviceModelConfig cfg = {}) : cfg_(cfg) {}
+  // `seed` drives the heavy-tail draws: two models with the same seed and
+  // config draw the same tails over the same number of cold accesses.
+  explicit DeviceModel(DeviceModelConfig cfg = {}, uint64_t seed = 0)
+      : cfg_(cfg), seed_(seed) {}
 
   void set_config(DeviceModelConfig cfg) { cfg_ = cfg; }
   const DeviceModelConfig& config() const { return cfg_; }
@@ -56,8 +59,7 @@ class DeviceModel {
     } else {
       us = cfg_.access_latency_us + (bytes / 1024) * cfg_.per_kib_us;
       if (cfg_.tail_prob > 0.0) {
-        thread_local Rng tl_rng(0x7a11 ^ reinterpret_cast<uintptr_t>(&tl_rng));
-        if (tl_rng.Bernoulli(cfg_.tail_prob)) {
+        if (TailDraw() < cfg_.tail_prob) {
           us *= cfg_.tail_mult;
           tail_accesses_.fetch_add(1, std::memory_order_relaxed);
         }
@@ -89,7 +91,16 @@ class DeviceModel {
   }
 
  private:
+  // Counter-based generator: draw n is a hash of (seed, n), so concurrent
+  // workers share one lock-free sequence. Uniform in [0, 1).
+  double TailDraw() {
+    const uint64_t n = tail_draws_.fetch_add(1, std::memory_order_relaxed);
+    return static_cast<double>(Mix64(seed_ ^ Mix64(n)) >> 11) * (1.0 / 9007199254740992.0);
+  }
+
   DeviceModelConfig cfg_;
+  const uint64_t seed_;
+  std::atomic<uint64_t> tail_draws_{0};
   std::atomic<uint64_t> total_accesses_{0};
   std::atomic<uint64_t> warm_accesses_{0};
   std::atomic<uint64_t> tail_accesses_{0};

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <thread>
 
-#include "src/common/arena.h"
 #include "src/common/clock.h"
 #include "src/common/logging.h"
 #include "src/engine/mutation.h"
@@ -322,6 +321,7 @@ void BackendServer::QueueSendLocked(rpc::Message msg) {
 }
 
 void BackendServer::DrainOutbox() {
+  MutexLock drain(&drain_mu_);
   std::vector<rpc::Message> staged;
   {
     MutexLock lk(&mu_);
@@ -1278,10 +1278,8 @@ void BackendServer::HandleTraverse(rpc::Message&& msg) {
 // ---------------------------------------------------------------------------
 
 void BackendServer::WorkerLoop() {
-  const size_t max_frontier =
-      cfg_.batched_multiget ? std::max<uint32_t>(1, cfg_.max_frontier_batch) : 1;
   std::vector<VertexTask> batch;
-  while (queue_.PopBatch(&batch, max_frontier)) {
+  while (queue_.PopBatch(&batch)) {
     if (batch.empty()) continue;
     if (batch.front().sync) {
       // Sync-engine tasks are never merged (batch size 1).
@@ -1295,31 +1293,11 @@ void BackendServer::WorkerLoop() {
 
 void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
   const TravelId travel = batch.front().travel;
-
-  // Per-thread scratch: every per-batch container below lives in the arena
-  // and is reclaimed wholesale by Reset(). A disabled knob hands out a null
-  // arena and the same containers silently fall back to the heap.
-  thread_local Arena scratch_arena(256 << 10);
-  Arena* arena = cfg_.arena_scratch ? &scratch_arena : nullptr;
-  if (arena != nullptr) arena->Reset();
-
-  // Distinct vertices in the group, in first-appearance order, with each
-  // task mapped to its vertex slot.
-  std::vector<graph::VertexId, ArenaAllocator<graph::VertexId>> vids{
-      ArenaAllocator<graph::VertexId>(arena)};
-  std::vector<uint32_t, ArenaAllocator<uint32_t>> task_slot{
-      ArenaAllocator<uint32_t>(arena)};
-  task_slot.reserve(batch.size());
-  for (const auto& t : batch) {
-    uint32_t slot = 0;
-    while (slot < vids.size() && vids[slot] != t.vid) slot++;
-    if (slot == vids.size()) vids.push_back(t.vid);
-    task_slot.push_back(slot);
-  }
+  const graph::VertexId vid = batch.front().vid;
 
   std::shared_ptr<CompiledPlan> cplan;
   std::shared_ptr<const graph::GraphStore::ReadSnapshot> travel_snap;
-  std::vector<bool> warm(vids.size(), false);
+  bool warm = false;
   {
     MutexLock lk(&mu_);
     auto it = plans_.find(travel);
@@ -1329,138 +1307,58 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
     // I/O phase even if an abort erases the travel's pin concurrently.
     travel_snap = TravelSnapLocked(travel);
     // Re-reads within a travel hit the storage engine's block cache.
-    auto& acc = accessed_[travel];
-    for (size_t i = 0; i < vids.size(); i++) warm[i] = !acc.insert(vids[i]).second;
+    warm = !accessed_[travel].insert(vid).second;
   }
   const lang::TraversalPlan& plan = cplan->plan;
   const uint32_t num_steps = static_cast<uint32_t>(plan.num_steps());
   const bool graphtrek = cplan->mode == EngineMode::kGraphTrek;
   const bool attribution = cplan->attribution;
 
-  // Step each vertex is first scheduled at (drives straggler step matching).
-  std::vector<uint32_t, ArenaAllocator<uint32_t>> vid_step(
-      vids.size(), 0, ArenaAllocator<uint32_t>(arena));
-  {
-    std::vector<bool> seen(vids.size(), false);
-    for (size_t i = 0; i < batch.size(); i++) {
-      if (!seen[task_slot[i]]) {
-        seen[task_slot[i]] = true;
-        vid_step[task_slot[i]] = batch[i].step;
-      }
-    }
-  }
-
   // --- I/O phase (no engine lock held) -------------------------------------
+  // One record read, and one edge scan when any merged task still expands.
+  // Straggler rules see the step of the first popped task.
   struct EdgeEntry {
     graph::LabelId label;
     graph::VertexId dst;
     graph::PropMap props;
   };
-  using EdgeVec = std::vector<EdgeEntry, ArenaAllocator<EdgeEntry>>;
-  struct VidData {
-    bool exists = false;
-    graph::VertexRecord rec;
-  };
-  std::vector<VidData> vid_data(vids.size());
-  std::vector<EdgeVec, ArenaAllocator<EdgeVec>> vid_edges{
-      ArenaAllocator<EdgeVec>(arena)};
-  for (size_t i = 0; i < vids.size(); i++) {
-    vid_edges.emplace_back(ArenaAllocator<EdgeEntry>(arena));
-  }
-
-  // Planner fetch strategy: 0 honours the server knob, 1 forces the batched
-  // MultiGet, 2 forces per-vertex point reads. Both read the same records
-  // from the same snapshot — result-identical by construction.
-  const bool batched_fetch =
-      plan.fetch_hint == 0 ? cfg_.batched_multiget : plan.fetch_hint == 1;
-  if (batched_fetch && vids.size() > 1) {
-    // One MultiGet per step cohort (usually the whole group) so straggler
-    // rules still see the step each access belongs to.
-    std::vector<bool> fetched(vids.size(), false);
-    for (size_t lo = 0; lo < vids.size(); lo++) {
-      if (fetched[lo]) continue;
-      const uint32_t step = vid_step[lo];
-      std::vector<graph::GraphStore::VertexLookup> lookups;
-      std::vector<size_t> slots;
-      for (size_t i = lo; i < vids.size(); i++) {
-        if (fetched[i] || vid_step[i] != step) continue;
-        graph::GraphStore::VertexLookup lk;
-        lk.vid = vids[i];
-        lk.warm = warm[i];
-        lookups.push_back(lk);
-        slots.push_back(i);
-        fetched[i] = true;
-      }
-      tls_current_step = static_cast<int>(step);
-      store_->MultiGetVertices(&lookups, travel_snap.get()).ok();
-      tls_current_step = -1;
-      for (size_t j = 0; j < slots.size(); j++) {
-        vid_data[slots[j]].exists = lookups[j].found;
-        vid_data[slots[j]].rec = std::move(lookups[j].rec);
-      }
-    }
-  } else {
-    for (size_t i = 0; i < vids.size(); i++) {
-      tls_current_step = static_cast<int>(vid_step[i]);
-      auto vrec = store_->GetVertex(vids[i], warm[i], travel_snap.get());
-      tls_current_step = -1;
-      if (vrec.ok()) {
-        vid_data[i].exists = true;
-        vid_data[i].rec = std::move(*vrec);
-      }
-    }
-  }
-
-  // One edge scan per vertex serves every merged task that needs expansion.
-  for (size_t i = 0; i < vids.size(); i++) {
-    bool need_edges = false;
-    for (size_t k = 0; k < batch.size(); k++) {
-      if (task_slot[k] == i && batch[k].step < num_steps) need_edges = true;
-    }
-    if (!vid_data[i].exists || !need_edges) continue;
-    tls_current_step = static_cast<int>(vid_step[i]);
+  std::vector<EdgeEntry> edges;
+  tls_current_step = static_cast<int>(batch.front().step);
+  auto vrec = store_->GetVertex(vid, warm, travel_snap.get());
+  const bool need_edges =
+      vrec.ok() && std::any_of(batch.begin(), batch.end(),
+                               [&](const VertexTask& t) { return t.step < num_steps; });
+  if (need_edges) {
     store_
-        ->ScanAllEdges(vids[i],
+        ->ScanAllEdges(vid,
                        [&](graph::LabelId label, graph::VertexId dst,
                            const graph::PropMap& props) {
-                         vid_edges[i].push_back({label, dst, props});
+                         edges.push_back({label, dst, props});
                          return true;
                        },
-                       warm[i], travel_snap.get())
+                       warm, travel_snap.get())
         .ok();
-    tls_current_step = -1;
   }
+  tls_current_step = -1;
 
-  visit_stats_.real_io.fetch_add(vids.size());
-  if (batch.size() > vids.size()) {
-    visit_stats_.combined.fetch_add(batch.size() - vids.size());
-  }
+  visit_stats_.real_io.fetch_add(1);
+  visit_stats_.combined.fetch_add(batch.size() - 1);
 
-  // Per-task outcome, computed lock-free. Targets are a flat arena vector
-  // of (owner server, dst) pairs; the apply phase groups as it inserts.
-  using TargetVec =
-      std::vector<std::pair<ServerId, graph::VertexId>,
-                  ArenaAllocator<std::pair<ServerId, graph::VertexId>>>;
+  // Per-task outcome, computed lock-free: merged tasks may sit at different
+  // steps, so each applies its own step's filters and hop.
   struct Outcome {
     bool passed = false;
     bool final_step = false;
-    TargetVec targets;
+    std::vector<std::pair<ServerId, graph::VertexId>> targets;  // (owner, dst)
     // kGroup: the vertex's rendered group value, captured here while the
     // record is in hand (the apply phase never re-reads the store).
     std::string group_value;
-    explicit Outcome(Arena* a)
-        : targets(ArenaAllocator<std::pair<ServerId, graph::VertexId>>(a)) {}
   };
-  std::vector<Outcome, ArenaAllocator<Outcome>> outcomes{
-      ArenaAllocator<Outcome>(arena)};
-  outcomes.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); i++) outcomes.emplace_back(arena);
-  for (size_t i = 0; i < batch.size(); i++) {
+  std::vector<Outcome> outcomes(batch.size());
+  for (size_t i = 0; i < batch.size() && vrec.ok(); i++) {
     const VertexTask& t = batch[i];
-    const VidData& vd = vid_data[task_slot[i]];
     Outcome& out = outcomes[i];
-    if (!vd.exists) continue;
-    if (!lang::VertexMatchesAll(StepVertexFilters(plan, t.step), vd.rec, *catalog_,
+    if (!lang::VertexMatchesAll(StepVertexFilters(plan, t.step), *vrec, *catalog_,
                                 cplan->type_key)) {
       continue;
     }
@@ -1471,7 +1369,7 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
     const std::vector<lang::Filter>* until = UntilFiltersAtStep(plan, t.step);
     const bool until_hit =
         until != nullptr &&
-        lang::VertexMatchesAll(*until, vd.rec, *catalog_, cplan->type_key);
+        lang::VertexMatchesAll(*until, *vrec, *catalog_, cplan->type_key);
     if (until_hit) {
       out.final_step = true;
     } else if (t.step >= num_steps) {
@@ -1484,13 +1382,12 @@ void BackendServer::ProcessBatch(const std::vector<VertexTask>& batch) {
     if (out.final_step) {
       if (plan.result_mode == lang::ResultMode::kGroup) {
         out.group_value =
-            lang::GroupValueForVertex(vd.rec, plan.group_key, *catalog_, cplan->type_key);
+            lang::GroupValueForVertex(*vrec, plan.group_key, *catalog_, cplan->type_key);
       }
       continue;
     }
     const lang::Hop& hop = plan.hops[t.step];
     // Edges are in (label, dst) order: the hop's label is one contiguous run.
-    const EdgeVec& edges = vid_edges[task_slot[i]];
     auto lo = std::lower_bound(
         edges.begin(), edges.end(), hop.edge_label,
         [](const EdgeEntry& e, graph::LabelId l) { return e.label < l; });

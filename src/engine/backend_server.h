@@ -61,21 +61,6 @@ struct ServerConfig {
   bool graphtrek_merging = true;        // execution merging (Section V-B)
   bool graphtrek_priority_sched = true; // smallest-step-first scheduling
 
-  // I/O-path ablation knobs (all on in the full system). Independent of
-  // the scheduling knobs above and of GraphStoreOptions::
-  // adjacency_cache_bytes, so each optimization can be toggled alone.
-  //
-  // Batch same-travel frontier vertices into one worker dequeue: vertex
-  // records resolve through one GraphStore::MultiGetVertices (single KV
-  // snapshot) instead of per-vertex Gets. Device/warm accounting is
-  // unchanged — this is a CPU-path optimization.
-  bool batched_multiget = true;
-  // Cap on distinct vertices per dequeued frontier group.
-  uint32_t max_frontier_batch = 64;
-  // Carve worker-loop scratch (edge lists, expansion targets) from a
-  // per-thread arena reset between batches instead of the heap.
-  bool arena_scratch = true;
-
   // Per-travel snapshot isolation. When on, every travel pins a KV read
   // snapshot on each participating server at admission (coordinator) or on
   // first contact (kPinTravel broadcast / lazy first-touch, whichever lands
@@ -92,10 +77,10 @@ struct ServerConfig {
   bool retain_snapshots_for_test = false;
 
   // Statistics-driven planner (coordinator role): rewrite each submitted
-  // plan (selectivity-ordered filter lists, start-filter pushdown, fetch
-  // strategy) against statistics collected once from the local shard. Every
-  // rewrite is result-identical by construction; the differential harness
-  // asserts planner-on == planner-off on randomized plans.
+  // plan (selectivity-ordered filter lists, start-filter pushdown) against
+  // statistics collected once from the local shard. Every rewrite is
+  // result-identical by construction; the differential harness asserts
+  // planner-on == planner-off on randomized plans.
   bool planner = false;
 };
 
@@ -352,6 +337,8 @@ class BackendServer {
   // --- async engine ----------------------------------------------------------
 
   void WorkerLoop();
+  // Runs one merge group: every task shares {travel, vertex}, so one vertex
+  // read and at most one edge scan serve them all.
   void ProcessBatch(const std::vector<VertexTask>& batch);
   void ProcessSyncTask(const VertexTask& task);
 
@@ -409,9 +396,13 @@ class BackendServer {
   // every path that may have queued (message handlers, worker batches, the
   // maintenance tick) calls DrainOutbox after releasing mu_. Keeps the
   // transport — whose delivery work is unbounded from our perspective —
-  // out of the engine's critical section.
+  // out of the engine's critical section. Messages leave in staging order:
+  // drain_mu_ is held across the swap and the sends, so a later drain on
+  // another thread cannot overtake an earlier one (a direct-protocol
+  // kReturnVertices staged before its termination trace item must reach
+  // the coordinator first, or the travel completes without those results).
   void QueueSendLocked(rpc::Message msg) GT_REQUIRES(mu_);
-  void DrainOutbox() GT_EXCLUDES(mu_);
+  void DrainOutbox() GT_EXCLUDES(drain_mu_, mu_);
 
   // Pins this server's current store view for `travel` (no-op when
   // snapshot isolation is off or the travel is already pinned); returns the
@@ -439,6 +430,8 @@ class BackendServer {
   VisitStats visit_stats_;
   RequestQueue queue_;
 
+  // Lock order: drain_mu_ before mu_ (DrainOutbox only).
+  Mutex drain_mu_ GT_ACQUIRED_BEFORE(mu_);
   mutable Mutex mu_;
   std::unordered_map<TravelId, std::shared_ptr<CompiledPlan>> plans_ GT_GUARDED_BY(mu_);
   std::unordered_map<ExecId, std::unique_ptr<ExecState>> execs_ GT_GUARDED_BY(mu_);

@@ -32,7 +32,8 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(ClusterConfig cfg) {
   }
 
   for (uint32_t i = 0; i < c.num_servers; i++) {
-    cluster->devices_.push_back(std::make_unique<DeviceModel>(c.device));
+    cluster->devices_.push_back(std::make_unique<DeviceModel>(c.device, /*seed=*/i));
+    cluster->straggler_.SetDevice(i, cluster->devices_.back().get());
 
     graph::GraphStoreOptions sopts;
     sopts.db = c.db;
@@ -57,8 +58,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(ClusterConfig cfg) {
     scfg.graphtrek_merging = c.graphtrek_merging;
     scfg.graphtrek_priority_sched = c.graphtrek_priority_sched;
     scfg.planner = c.planner;
-    scfg.batched_multiget = c.batched_multiget;
-    scfg.arena_scratch = c.arena_scratch;
     scfg.snapshot_isolation = c.snapshot_isolation;
     scfg.retain_snapshots_for_test = c.retain_snapshots_for_test;
     cluster->servers_.push_back(std::make_unique<BackendServer>(
@@ -77,7 +76,8 @@ void Cluster::Stop() {
   if (stopped_) return;
   stopped_ = true;
   for (auto& server : servers_) server->Stop();
-  transport()->Shutdown();  // decorator (if any) shuts the inner fabric too
+  // Null when Create failed before building the fabric.
+  if (transport_ != nullptr) transport()->Shutdown();  // decorator shuts the inner one too
   servers_.clear();
   stores_.clear();
   if (own_dir_) {

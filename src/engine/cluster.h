@@ -43,11 +43,9 @@ struct ClusterConfig {
   // compares planner-on vs planner-off clusters for result identity.
   bool planner = false;
 
-  // I/O-path ablation knobs (see DESIGN.md "Adjacency cache & batched
-  // I/O"). Each axis toggles independently of the two above.
-  size_t adjacency_cache_bytes = 16 << 20;  // 0 disables the CSR cache
-  bool batched_multiget = true;             // frontier-group MultiGet
-  bool arena_scratch = true;                // per-worker arena scratch
+  // CSR adjacency cache budget per server (see DESIGN.md "Adjacency cache
+  // & merged vertex I/O"); 0 disables the cache.
+  size_t adjacency_cache_bytes = 16 << 20;
 
   // Per-travel snapshot isolation (see ServerConfig::snapshot_isolation).
   // Off = historical read-latest behaviour; the torn-read control legs in
@@ -61,6 +59,8 @@ struct ClusterConfig {
   std::string data_dir;
 
   // Simulated device cost per vertex access (cold-start disk behaviour).
+  // Server i's model draws its heavy tails from a generator seeded with i,
+  // so tail patterns reproduce run to run.
   DeviceModelConfig device;
 
   // Simulated network fabric.

@@ -58,43 +58,23 @@ class RequestQueue {
 
   // Blocks until tasks are available (or shutdown). Returns the scheduled
   // task plus — when it is mergeable — all other queued tasks for the same
-  // vertex. With `max_frontier` > 1, additionally drains queued mergeable
-  // tasks for up to that many distinct vertices of the *same travel* (the
-  // batched-frontier-I/O group: one dequeue, one KV snapshot for all of
-  // them). Returns false on shutdown.
-  bool PopBatch(std::vector<VertexTask>* batch, size_t max_frontier = 1)
-      GT_EXCLUDES(mu_) {
+  // {travel, vertex}: exactly one merge group, served by one disk access.
+  // Returns false on shutdown.
+  bool PopBatch(std::vector<VertexTask>* batch) GT_EXCLUDES(mu_) {
     batch->clear();
     MutexLock lk(&mu_);
     while (!stop_ && queue_.empty()) cv_.Wait();
     if (stop_) return false;
 
     auto first = queue_.begin();
-    const MergeKey mkey{first->second.task.travel, first->second.task.vid};
-
     if (!first->second.mergeable) {
       batch->push_back(std::move(first->second.task));
       queue_.erase(first);
       return true;
     }
-
-    // Extract every queued mergeable task for this {travel, vertex}.
-    ExtractGroupLocked(merge_index_.find(mkey), batch);
-    if (max_frontier <= 1) return true;
-
-    // Widen to other vertices of the same travel, in vid order. Grouping
-    // jumps those tasks ahead of their scheduled order, which is safe for
-    // the same reason cross-step vertex merging is: every task still runs
-    // exactly once, and execution accounting is per task.
-    size_t vertices = 1;
-    auto it = merge_index_.lower_bound(MergeKey{mkey.travel, 0});
-    while (vertices < max_frontier && it != merge_index_.end() &&
-           it->first.travel == mkey.travel) {
-      auto next = std::next(it);
-      ExtractGroupLocked(it, batch);
-      vertices++;
-      it = next;
-    }
+    ExtractGroupLocked(
+        merge_index_.find(MergeKey{first->second.task.travel, first->second.task.vid}),
+        batch);
     return true;
   }
 

@@ -29,7 +29,13 @@ struct StragglerRule {
 
 class StragglerInjector final : public graph::AccessInterceptor {
  public:
-  explicit StragglerInjector(DeviceModel* device = nullptr) : device_(device) {}
+  // Injected delays on `server_id` are charged to `device`
+  // (DeviceModel::injected_us); servers without one just sleep.
+  void SetDevice(uint32_t server_id, DeviceModel* device) GT_EXCLUDES(mu_) {
+    MutexLock lk(&mu_);
+    if (devices_.size() <= server_id) devices_.resize(server_id + 1, nullptr);
+    devices_[server_id] = device;
+  }
 
   void AddRule(StragglerRule rule) GT_EXCLUDES(mu_) {
     MutexLock lk(&mu_);
@@ -45,8 +51,10 @@ class StragglerInjector final : public graph::AccessInterceptor {
 
   void OnVertexAccess(uint32_t server_id, graph::VertexId) override {
     uint64_t delay = 0;
+    DeviceModel* device = nullptr;
     {
       MutexLock lk(&mu_);
+      if (server_id < devices_.size()) device = devices_[server_id];
       for (auto& rs : rules_) {
         if (rs.rule.server_id != server_id) continue;
         if (rs.rule.step >= 0 && rs.rule.step != tls_current_step) continue;
@@ -57,8 +65,8 @@ class StragglerInjector final : public graph::AccessInterceptor {
     }
     if (delay > 0) {
       hits_.fetch_add(1);
-      if (device_ != nullptr) {
-        device_->ChargeInjectedDelay(delay);
+      if (device != nullptr) {
+        device->ChargeInjectedDelay(delay);
       } else {
         std::this_thread::sleep_for(std::chrono::microseconds(delay));
       }
@@ -71,9 +79,9 @@ class StragglerInjector final : public graph::AccessInterceptor {
     uint64_t hits;
   };
 
-  DeviceModel* device_;
   Mutex mu_;
   std::vector<RuleState> rules_ GT_GUARDED_BY(mu_);
+  std::vector<DeviceModel*> devices_ GT_GUARDED_BY(mu_);  // by server id
   std::atomic<uint64_t> hits_{0};
 };
 

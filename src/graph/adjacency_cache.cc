@@ -60,6 +60,8 @@ AdjacencyCache::AdjacencyCache(AdjacencyCacheOptions opts)
       "CSR row build latency in microseconds");
 }
 
+AdjacencyCache::~AdjacencyCache() { bytes_->Add(-static_cast<int64_t>(usage())); }
+
 std::shared_ptr<const AdjacencyRow> AdjacencyCache::Lookup(VertexId src,
                                                            LabelId label,
                                                            bool count_miss) {

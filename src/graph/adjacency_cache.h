@@ -117,6 +117,8 @@ class AdjacencyCache {
   static constexpr LabelId kAllLabels = AdjacencyRow::kAllLabels;
 
   explicit AdjacencyCache(AdjacencyCacheOptions opts);
+  // Hands the resident bytes back to the shared gt_graph_adj_bytes gauge.
+  ~AdjacencyCache();
 
   // nullptr on miss. Hits refresh LRU recency. `count_miss=false` makes a
   // miss silent — used for the exact-label probe in ScanEdges, which can

@@ -71,12 +71,11 @@ class GraphStore {
   // a traversal read.
   bool HasVertex(VertexId vid, const ReadSnapshot* snap = nullptr);
 
-  // One frontier batch of vertex point-reads resolved against a single KV
-  // snapshot (DB::MultiGet): the memtable/table handshake is paid once for
-  // the whole batch instead of once per vertex. Device accounting is
-  // identical to calling GetVertex once per entry — one charge per vid with
-  // that entry's `warm` flag — so the batch is a pure CPU-path optimization
-  // and ablating it cannot move simulated-device numbers by itself.
+  // A batch of vertex point-reads resolved against a single KV snapshot
+  // (DB::MultiGet): the memtable/table handshake is paid once for the whole
+  // batch instead of once per vertex (the filtered type-scan's sparse
+  // fallback). Device accounting is identical to calling GetVertex once per
+  // entry — one charge per vid with that entry's `warm` flag.
   struct VertexLookup {
     VertexId vid = 0;
     bool warm = false;      // in: same semantics as GetVertex(vid, warm)

@@ -8,9 +8,8 @@ namespace {
 
 constexpr uint8_t kPlanExtVersion = 1;
 constexpr uint8_t kExtFlagPushdown = 1u << 0;
-// fetch_hint occupies bits 1-2; bits 3+ must be zero (canonical encoding).
-constexpr uint8_t kExtFetchShift = 1;
-constexpr uint8_t kExtKnownFlags = 0x07;
+// Bits 1+ are reserved and must be zero (canonical encoding).
+constexpr uint8_t kExtKnownFlags = kExtFlagPushdown;
 
 bool HopsHaveExt(const std::vector<Hop>& hs) {
   for (const auto& h : hs) {
@@ -23,8 +22,7 @@ bool HopsHaveExt(const std::vector<Hop>& hs) {
 
 bool TraversalPlan::has_ext() const {
   return result_mode != ResultMode::kVertices || group_key != 0 || push_start_filters ||
-         fetch_hint != 0 || !branch_alts.empty() || !branch_tail.empty() ||
-         HopsHaveExt(hops);
+         !branch_alts.empty() || !branch_tail.empty() || HopsHaveExt(hops);
 }
 
 void TraversalPlan::EncodeFilters(std::string* out, const std::vector<Filter>& filters) {
@@ -91,10 +89,7 @@ std::string TraversalPlan::Encode() const {
   out.push_back(static_cast<char>(kPlanExtVersion));
   out.push_back(static_cast<char>(result_mode));
   PutVarint32(&out, group_key);
-  uint8_t flags = 0;
-  if (push_start_filters) flags |= kExtFlagPushdown;
-  flags |= static_cast<uint8_t>((fetch_hint & 0x3) << kExtFetchShift);
-  out.push_back(static_cast<char>(flags));
+  out.push_back(static_cast<char>(push_start_filters ? kExtFlagPushdown : 0));
   // Per-hop extensions, one entry per legacy hop (count re-stated so a
   // truncated tail cannot silently drop entries).
   PutVarint32(&out, static_cast<uint32_t>(hops.size()));
@@ -129,7 +124,6 @@ Status TraversalPlan::DecodeExtTail(CheckedReader* dec) {
   if (!dec->GetByte(&flags)) return Status::Corruption("plan: ext flags");
   if ((flags & ~kExtKnownFlags) != 0) return Status::Corruption("plan: unknown ext flags");
   push_start_filters = (flags & kExtFlagPushdown) != 0;
-  fetch_hint = static_cast<uint8_t>((flags >> kExtFetchShift) & 0x3);
 
   uint32_t n = 0;
   // 2 = minimum per-hop extension (repeat varint + empty until list).

@@ -19,9 +19,9 @@
 //   - branch: the working set forks across alternative hop chains after the
 //     `hops` prefix and merges (union) before `branch_tail`; executed as
 //     one flattened linear sub-plan per alternative (FlattenBranches()).
-//   - planner hints: push_start_filters (apply start filters inside the
-//     type-index scan) and fetch_hint (batched-vs-single frontier fetch);
-//     hints never change results, only how the engines execute.
+//   - planner hint: push_start_filters (apply start filters inside the
+//     type-index scan); it never changes results, only how the engines
+//     execute.
 #pragma once
 
 #include <string>
@@ -84,13 +84,10 @@ struct TraversalPlan {
   ResultMode result_mode = ResultMode::kVertices;
   graph::Catalog::Id group_key = 0;  // property key for ResultMode::kGroup
 
-  // Planner hints. push_start_filters: the scan-start applies every start
-  // vertex filter inside the type-index scan, so only matching vertices
-  // become root execs. fetch_hint: 0 = server default, 1 = force batched
-  // MultiGet frontier fetch, 2 = force single-vertex fetch. Both are
-  // result-identical by construction.
+  // Planner hint: the scan-start applies every start vertex filter inside
+  // the type-index scan, so only matching vertices become root execs.
+  // Result-identical by construction.
   bool push_start_filters = false;
-  uint8_t fetch_hint = 0;
 
   // Branch/union step: when branch_alts is non-empty (>= 2 alternatives),
   // the chain is `hops` (prefix), then a fork across the alternatives, then
@@ -151,8 +148,7 @@ struct TraversalPlan {
     return start_ids == o.start_ids && start_vertex_filters == o.start_vertex_filters &&
            start_rtn == o.start_rtn && hops == o.hops && result_mode == o.result_mode &&
            group_key == o.group_key && push_start_filters == o.push_start_filters &&
-           fetch_hint == o.fetch_hint && branch_alts == o.branch_alts &&
-           branch_tail == o.branch_tail;
+           branch_alts == o.branch_alts && branch_tail == o.branch_tail;
   }
 
   std::string Encode() const;

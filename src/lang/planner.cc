@@ -13,11 +13,6 @@ namespace {
 constexpr double kEqPrior = 0.05;
 constexpr double kRangePrior = 0.35;
 
-// Frontier width at which batched MultiGet wins over single-vertex fetch
-// (below it the batch setup cost dominates; matches the Table II-style
-// degree statistics the fetch batching was measured against).
-constexpr double kBatchedFetchWidth = 4.0;
-
 }  // namespace
 
 PlanStats CollectPlanStats(const graph::RefGraph& graph, const graph::Catalog& catalog) {
@@ -65,13 +60,6 @@ double EstimateSelectivity(const Filter& f, const PlanStats& stats,
 }
 
 namespace {
-
-double ListSelectivity(const std::vector<Filter>& filters, const PlanStats& stats,
-                       const graph::Catalog& catalog, graph::Catalog::Id type_key) {
-  double sel = 1.0;
-  for (const auto& f : filters) sel *= EstimateSelectivity(f, stats, catalog, type_key);
-  return sel;
-}
 
 // Stable-sorts one AND list by ascending selectivity (most selective filter
 // evaluates first, so non-matching candidates are rejected cheapest).
@@ -129,29 +117,6 @@ TraversalPlan RewritePlan(const TraversalPlan& plan, const PlanStats& stats,
   if (out.start_ids.empty() && out.start_vertex_filters.size() > 1) {
     out.push_start_filters = true;
     report->pushed_down = true;
-  }
-
-  // 3. Fetch strategy from the expected frontier width after the first hop.
-  double width = 0.0;
-  if (!out.start_ids.empty()) {
-    width = static_cast<double>(out.start_ids.size());
-    width *= ListSelectivity(out.start_vertex_filters, stats, catalog, type_key);
-  } else if (stats.total_vertices > 0) {
-    width = static_cast<double>(stats.total_vertices) *
-            ListSelectivity(out.start_vertex_filters, stats, catalog, type_key);
-  }
-  report->est_start_width = width;
-  const std::vector<Hop>* first_hops = &out.hops;
-  if (out.hops.empty() && !out.branch_alts.empty()) first_hops = &out.branch_alts[0];
-  if (out.hops.empty() && out.branch_alts.empty()) first_hops = &out.branch_tail;
-  if (!first_hops->empty()) {
-    const Hop& h = first_hops->front();
-    width *= stats.avg_out_degree(h.edge_label);
-    width *= ListSelectivity(h.edge_filters, stats, catalog, type_key);
-    width *= ListSelectivity(h.vertex_filters, stats, catalog, type_key);
-    report->est_first_hop_width = width;
-    out.fetch_hint = width >= kBatchedFetchWidth ? 1 : 2;
-    report->fetch_hint = out.fetch_hint;
   }
   return out;
 }

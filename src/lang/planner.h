@@ -1,6 +1,6 @@
 // Statistics-driven plan rewriting. The planner consumes the same graph
 // statistics the Table II generator benches compute (vertex counts per
-// type, edge counts per label) and applies three result-identical rewrites:
+// type, edge counts per label) and applies two result-identical rewrites:
 //
 //   1. Filter reordering: AND-composed va()/ea() filter lists are
 //      stable-sorted by estimated selectivity (cheapest-to-eliminate
@@ -10,9 +10,6 @@
 //      filter inside the type-index scan and only matching vertices become
 //      root execs. Engines re-apply the filters at processing time
 //      (idempotent), so this is result-identical by construction.
-//   3. Fetch strategy: the expected frontier width after the first hop
-//      decides batched MultiGet vs single-vertex fetch (fetch_hint); both
-//      paths read the same records from the same snapshot.
 //
 // The differential harness enforces planner-on == planner-off equality on
 // randomized plans; test_planner.cc pins the rewrite goldens.
@@ -49,9 +46,6 @@ struct PlanStats {
 struct PlannerReport {
   uint32_t filter_lists_reordered = 0;
   bool pushed_down = false;
-  uint8_t fetch_hint = 0;
-  double est_start_width = 0.0;
-  double est_first_hop_width = 0.0;
 };
 
 // Builds PlanStats by counting a RefGraph (tests, benches, clients). The

@@ -98,7 +98,6 @@ gt::lang::TraversalPlan BranchGroupPlan() {
   plan.result_mode = gt::lang::ResultMode::kGroup;
   plan.group_key = 9;
   plan.push_start_filters = true;
-  plan.fetch_hint = 1;
   return plan;
 }
 
@@ -109,7 +108,6 @@ gt::lang::TraversalPlan PathsPlan() {
   h.edge_label = 3;
   plan.hops = {h, h};
   plan.result_mode = gt::lang::ResultMode::kPaths;
-  plan.fetch_hint = 2;
   return plan;
 }
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/common/device_model.h"
+#include "src/common/metrics.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/graph/adjacency_cache.h"
@@ -413,6 +414,28 @@ TEST_F(AdjacencyCacheTest, MutateWhileTraversingConverges) {
     EXPECT_EQ(Scan(store.get(), v, kEdgeX), Scan(raw.get(), v, kEdgeX)) << "vid " << v;
     EXPECT_EQ(ScanAll(store.get(), v), ScanAll(raw.get(), v)) << "vid " << v;
   }
+}
+
+TEST(AdjacencyCacheGaugeTest, DestroyedCachesReturnTheirBytes) {
+  // Two caches share one server label, like successive clusters do.
+  AdjacencyCacheOptions opts;
+  opts.server_id = 9901;
+  metrics::Gauge* gauge = metrics::Registry::Default()->GetGauge(
+      "gt_graph_adj_bytes", {{"server", "9901"}});
+  const int64_t start = gauge->Value();
+  {
+    AdjacencyCache first(opts);
+    AdjacencyCache second(opts);
+    for (VertexId src = 0; src < 8; src++) {
+      AdjacencyRow::Builder b;
+      b.Add(kEdgeX, src + 1, "");
+      first.Insert(src, kEdgeX, b.Build(), first.BeginBuild(src));
+      second.Insert(src, kEdgeX, b.Build(), second.BeginBuild(src));
+    }
+    EXPECT_EQ(gauge->Value(), start + static_cast<int64_t>(first.usage() + second.usage()));
+    EXPECT_GT(gauge->Value(), start);
+  }
+  EXPECT_EQ(gauge->Value(), start);
 }
 
 }  // namespace

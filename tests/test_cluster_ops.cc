@@ -10,6 +10,7 @@
 #include "src/gen/darshan.h"
 #include "src/graph/text_io.h"
 #include "src/lang/gtravel.h"
+#include "tests/test_util.h"
 
 namespace gt::engine {
 namespace {
@@ -132,6 +133,14 @@ TEST(ClusterOpsTest, StatsReportCoversEveryServer) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("GraphTrek"), std::string::npos);
+}
+
+TEST(ClusterOpsTest, CreateOverMissingParentDirFails) {
+  gt::testing::ScopedTempDir dir;
+  ClusterConfig cfg;
+  cfg.data_dir = dir.sub("missing/cluster");
+  auto cluster = Cluster::Create(cfg);
+  EXPECT_FALSE(cluster.ok());
 }
 
 }  // namespace

@@ -406,6 +406,24 @@ TEST(DeviceModelTest, TailProbabilityIsApproximatelyRespected) {
   EXPECT_LT(rate, 0.3);
 }
 
+TEST(DeviceModelTest, SameSeedDrawsSameTails) {
+  DeviceModelConfig cfg;
+  cfg.access_latency_us = 0;  // no sleeping, just drawing
+  cfg.tail_prob = 0.5;
+  constexpr int kAccesses = 2000;
+  auto tails = [&](uint64_t seed) {
+    DeviceModel dev(cfg, seed);
+    for (int i = 0; i < kAccesses; i++) dev.ChargeAccess(0);
+    return dev.tail_accesses();
+  };
+  const uint64_t seed7 = tails(7);
+  EXPECT_EQ(tails(7), seed7);
+  EXPECT_GT(seed7, 0u);
+  EXPECT_LT(seed7, static_cast<uint64_t>(kAccesses));
+  // Another seed draws another sequence (equal counts would be a fluke).
+  EXPECT_NE(tails(8), seed7);
+}
+
 TEST(DeviceModelTest, InjectedDelaysTrackedSeparately) {
   DeviceModel dev;
   dev.ChargeInjectedDelay(1000);

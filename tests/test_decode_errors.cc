@@ -90,7 +90,6 @@ lang::TraversalPlan BranchSamplePlan() {
   plan.result_mode = lang::ResultMode::kGroup;
   plan.group_key = 7;
   plan.push_start_filters = true;
-  plan.fetch_hint = 1;
   return plan;
 }
 
@@ -102,7 +101,6 @@ void StripExt(lang::TraversalPlan* plan) {
   plan->result_mode = lang::ResultMode::kVertices;
   plan->group_key = 0;
   plan->push_start_filters = false;
-  plan->fetch_hint = 0;
   plan->branch_alts.clear();
   plan->branch_tail.clear();
 }

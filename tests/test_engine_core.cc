@@ -343,7 +343,8 @@ TEST(StragglerTest, AnyStepRuleAndMaxHits) {
 
 TEST(StragglerTest, DelayIsActuallyInjected) {
   DeviceModel device;
-  StragglerInjector injector(&device);
+  StragglerInjector injector;
+  injector.SetDevice(0, &device);
   injector.AddRule(StragglerRule{.server_id = 0, .step = -1, .delay_us = 5000, .max_hits = 1});
   tls_current_step = 1;
   Stopwatch watch;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "src/engine/cluster.h"
 #include "src/gen/rmat.h"
 #include "src/lang/gtravel.h"
+#include "tests/test_util.h"
 
 namespace gt::engine {
 namespace {
@@ -428,6 +430,92 @@ TEST(EngineFeatureTest, InjectedStragglerSlowsSyncMoreThanGraphTrek) {
   EXPECT_LT(gt_penalty, sync_penalty * 1.5)
       << "sync " << sync_base << "->" << sync_straggled << " gt " << gt_base << "->"
       << gt_straggled;
+}
+
+TEST(EngineFeatureTest, StragglerDelaysChargeTheMatchedServersDevice) {
+  ClusterConfig cfg;
+  cfg.num_servers = 2;
+  auto cluster = Cluster::Create(cfg);
+  ASSERT_TRUE(cluster.ok());
+  Catalog* catalog = (*cluster)->catalog();
+  ASSERT_TRUE((*cluster)->Load(ChainGraph(catalog, 16)).ok());
+  GTravel travel(catalog);
+  travel.v({0});
+  for (int i = 0; i < 16; i++) travel.e("next");
+  auto plan = travel.Build();
+  ASSERT_TRUE(plan.ok());
+
+  constexpr uint64_t kDelayUs = 1000;
+  (*cluster)->straggler()->AddRule(
+      StragglerRule{.server_id = 1, .step = -1, .delay_us = kDelayUs, .max_hits = 2});
+  ASSERT_TRUE((*cluster)->Run(*plan, EngineMode::kGraphTrek).ok());
+
+  const uint64_t hits = (*cluster)->straggler()->total_injected_delays();
+  EXPECT_EQ(hits, 2u);
+  EXPECT_EQ((*cluster)->device(1)->injected_us(), hits * kDelayUs);
+  EXPECT_EQ((*cluster)->device(0)->injected_us(), 0u);
+}
+
+// --- outbox ordering ------------------------------------------------------------------
+
+// Stalls the first direct-protocol answer to the coordinator (kReturnVertices
+// with parent_exec == 0) inside Send, holding no lock of its own, so any
+// drain that starts later has time to send first.
+class StallFirstAnswerTransport final : public rpc::Transport {
+ public:
+  explicit StallFirstAnswerTransport(rpc::Transport* inner) : inner_(inner) {}
+
+  Status RegisterEndpoint(rpc::EndpointId id, rpc::MessageHandler handler) override {
+    return inner_->RegisterEndpoint(id, std::move(handler));
+  }
+  void UnregisterEndpoint(rpc::EndpointId id) override { inner_->UnregisterEndpoint(id); }
+  Status Send(rpc::Message msg) override {
+    if (msg.type == rpc::MsgType::kReturnVertices) {
+      auto ans = AnswerPayload::Decode(msg.payload);
+      if (ans.ok() && ans->parent_exec == 0 && !stalled_.exchange(true)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      }
+    }
+    return inner_->Send(std::move(msg));
+  }
+  void Shutdown() override { inner_->Shutdown(); }
+
+  bool stalled() const { return stalled_.load(); }
+
+ private:
+  rpc::Transport* inner_;
+  std::atomic<bool> stalled_{false};
+};
+
+// The final-step execution stages its answer before its termination trace
+// item. While the answer's send stalls, the 5 ms maintenance tick flushes
+// the termination; if that flush could overtake the answer, the coordinator
+// would complete the travel OK with no results.
+TEST(EngineFeatureTest, DirectAnswerIsNotOvertakenByALaterDrain) {
+  gt::testing::ScopedTempDir dir;
+  Catalog catalog;
+  const RefGraph g = ChainGraph(&catalog, 1);
+  auto store = graph::GraphStore::Open(dir.sub("s0"), graph::GraphStoreOptions{});
+  ASSERT_TRUE(store.ok());
+  graph::HashPartitioner partitioner(1);
+  graph::GraphLoader loader(&partitioner, {store->get()});
+  ASSERT_TRUE(g.LoadInto(&loader).ok());
+
+  rpc::InProcTransport inner;
+  StallFirstAnswerTransport transport(&inner);
+  BackendServer server(ServerConfig{}, store->get(), &partitioner, &catalog, &transport);
+  ASSERT_TRUE(server.Start().ok());
+  {
+    GraphTrekClient client(&transport, rpc::kClientIdBase, /*num_servers=*/1);
+    auto plan = GTravel(&catalog).v({0}).e("next").Build();
+    ASSERT_TRUE(plan.ok());
+    auto result = client.Run(*plan, RunOptions{});
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(transport.stalled());
+    EXPECT_EQ(result->vids, std::vector<VertexId>{1});
+  }
+  server.Stop();
+  inner.Shutdown();
 }
 
 // --- misc -----------------------------------------------------------------------------

@@ -622,7 +622,6 @@ TEST_F(GTravelTest, ExtendedPlanSerializationRoundTrip) {
   // Planner outputs ride the same versioned tail.
   TraversalPlan tuned = *plan;
   tuned.push_start_filters = true;
-  tuned.fetch_hint = 1;
   ASSERT_TRUE(tuned.Validate().ok());
   EXPECT_TRUE(tuned.has_ext());
 
@@ -630,6 +629,16 @@ TEST_F(GTravelTest, ExtendedPlanSerializationRoundTrip) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(*decoded == tuned);
   EXPECT_EQ(decoded->Encode(), tuned.Encode());
+
+  // Ext flag bits above the pushdown bit are reserved: a tail setting one
+  // is rejected, not ignored. The tail is [version][mode][group_key][flags].
+  TraversalPlan pushdown = *GTravel(&cat_).v({1}).e("run").Build();
+  const size_t legacy_size = pushdown.Encode().size();
+  pushdown.push_start_filters = true;
+  std::string wire = pushdown.Encode();
+  ASSERT_TRUE(TraversalPlan::Decode(wire).ok());
+  wire[legacy_size + 3] = static_cast<char>(wire[legacy_size + 3] | 0x02);
+  EXPECT_FALSE(TraversalPlan::Decode(wire).ok());
 
   auto until_plan = GTravel(&cat_)
                         .v({1})

@@ -1,5 +1,5 @@
 // Planner tests: golden plan-rewrite expectations (filter reordering,
-// predicate pushdown, fetch-strategy selection) plus a property test that
+// predicate pushdown) plus a property test that
 // every rewrite is result-identical under the extended reference evaluator
 // on seeded random graphs. The cross-engine planner-on/planner-off leg
 // lives in test_engine_differential.cc; this file pins the rewrite logic
@@ -179,33 +179,6 @@ TEST(PlannerTest, GoldenPushdownOnlyWhenScanStartCarriesExtraFilters) {
   ASSERT_TRUE(anchored_plan.ok());
   rewritten = RewritePlan(*anchored_plan, stats, catalog, type_key, &report);
   EXPECT_FALSE(rewritten.push_start_filters);
-}
-
-TEST(PlannerTest, GoldenFetchHintFollowsExpectedFrontierWidth) {
-  Catalog catalog;
-  RefGraph g = BuildGoldenGraph(&catalog);
-  const PlanStats stats = CollectPlanStats(g, catalog);
-  const auto type_key = catalog.Intern("type");
-
-  // One anchored start * degree 3.0 = width 3 < 4: single-vertex fetch.
-  GTravel narrow(&catalog);
-  narrow.v({0}).e("x");
-  auto narrow_plan = narrow.Build();
-  ASSERT_TRUE(narrow_plan.ok());
-  PlannerReport report;
-  TraversalPlan rewritten = RewritePlan(*narrow_plan, stats, catalog, type_key, &report);
-  EXPECT_EQ(rewritten.fetch_hint, 2);
-  EXPECT_DOUBLE_EQ(report.est_first_hop_width, 3.0);
-
-  // Type-B scan (8 vertices) * degree 3.0 = width 24 >= 4: batched fetch.
-  GTravel wide(&catalog);
-  wide.v().va("type", FilterOp::kEq, {PropValue("B")}).e("x");
-  auto wide_plan = wide.Build();
-  ASSERT_TRUE(wide_plan.ok());
-  rewritten = RewritePlan(*wide_plan, stats, catalog, type_key, &report);
-  EXPECT_EQ(rewritten.fetch_hint, 1);
-  EXPECT_DOUBLE_EQ(report.est_start_width, 8.0);
-  EXPECT_DOUBLE_EQ(report.est_first_hop_width, 24.0);
 }
 
 // --- Property test: rewrites preserve reference-evaluator results ----------

@@ -93,7 +93,7 @@ TEST(RequestQueueTest, EraseTravelDrainsQueuedTasks) {
   // touches a dangling merge_index_ entry.
   std::vector<VertexTask> batch;
   size_t seen = 0;
-  while (q.size() > 0 && q.PopBatch(&batch, /*max_frontier=*/4)) {
+  while (q.size() > 0 && q.PopBatch(&batch)) {
     for (const auto& t : batch) {
       EXPECT_EQ(t.travel, 200u);
       seen++;
@@ -149,10 +149,9 @@ TEST(TravelLifecycleTest, AdmissionLimitRejectsThenBackoffRetrySucceeds) {
   cfg.num_servers = 2;
   cfg.admission_limits = {{1, 1, 1}};  // one in-flight travel per class
   cfg.device.access_latency_us = 2000;
-  // Per-vertex device charging keeps the first travel in flight while the
-  // second submits (the batched-I/O paths amortize it away).
+  // Cold device charging keeps the first travel in flight while the
+  // second submits (adjacency-cache hits would charge the warm rate).
   cfg.adjacency_cache_bytes = 0;
-  cfg.batched_multiget = false;
   auto cluster = Cluster::Create(cfg);
   ASSERT_TRUE(cluster.ok());
   Catalog* catalog = (*cluster)->catalog();
@@ -208,7 +207,6 @@ TEST(TravelLifecycleTest, CancelledTravelIsFullyReclaimedOnEveryServer) {
   cfg.num_servers = 3;
   cfg.device.access_latency_us = 20000;  // 20ms per vertex access
   cfg.adjacency_cache_bytes = 0;
-  cfg.batched_multiget = false;
   auto cluster = Cluster::Create(cfg);
   ASSERT_TRUE(cluster.ok());
   Catalog* catalog = (*cluster)->catalog();
@@ -260,7 +258,6 @@ TEST(TravelLifecycleTest, DeadlineExceededCompletesAsTimeout) {
   cfg.num_servers = 2;
   cfg.device.access_latency_us = 20000;
   cfg.adjacency_cache_bytes = 0;
-  cfg.batched_multiget = false;
   auto cluster = Cluster::Create(cfg);
   ASSERT_TRUE(cluster.ok());
   Catalog* catalog = (*cluster)->catalog();
