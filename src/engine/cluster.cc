@@ -33,7 +33,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(ClusterConfig cfg) {
 
   for (uint32_t i = 0; i < c.num_servers; i++) {
     cluster->devices_.push_back(std::make_unique<DeviceModel>(c.device, /*seed=*/i));
-    cluster->straggler_.SetDevice(i, cluster->devices_.back().get());
 
     graph::GraphStoreOptions sopts;
     sopts.db = c.db;

@@ -29,14 +29,6 @@ struct StragglerRule {
 
 class StragglerInjector final : public graph::AccessInterceptor {
  public:
-  // Injected delays on `server_id` are charged to `device`
-  // (DeviceModel::injected_us); servers without one just sleep.
-  void SetDevice(uint32_t server_id, DeviceModel* device) GT_EXCLUDES(mu_) {
-    MutexLock lk(&mu_);
-    if (devices_.size() <= server_id) devices_.resize(server_id + 1, nullptr);
-    devices_[server_id] = device;
-  }
-
   void AddRule(StragglerRule rule) GT_EXCLUDES(mu_) {
     MutexLock lk(&mu_);
     rules_.push_back(RuleState{rule, 0});
@@ -49,12 +41,12 @@ class StragglerInjector final : public graph::AccessInterceptor {
 
   uint64_t total_injected_delays() const { return hits_.load(); }
 
-  void OnVertexAccess(uint32_t server_id, graph::VertexId) override {
+  // Delays are charged to the accessing store's `device`
+  // (DeviceModel::injected_us); stores without one just sleep.
+  void OnVertexAccess(uint32_t server_id, graph::VertexId, DeviceModel* device) override {
     uint64_t delay = 0;
-    DeviceModel* device = nullptr;
     {
       MutexLock lk(&mu_);
-      if (server_id < devices_.size()) device = devices_[server_id];
       for (auto& rs : rules_) {
         if (rs.rule.server_id != server_id) continue;
         if (rs.rule.step >= 0 && rs.rule.step != tls_current_step) continue;
@@ -81,7 +73,6 @@ class StragglerInjector final : public graph::AccessInterceptor {
 
   Mutex mu_;
   std::vector<RuleState> rules_ GT_GUARDED_BY(mu_);
-  std::vector<DeviceModel*> devices_ GT_GUARDED_BY(mu_);  // by server id
   std::atomic<uint64_t> hits_{0};
 };
 

@@ -80,7 +80,7 @@ Status GraphStore::DeleteVertex(VertexId vid) {
 
 void GraphStore::ChargeAccess(VertexId vid, uint64_t bytes, bool warm) {
   vertex_accesses_.fetch_add(1, std::memory_order_relaxed);
-  if (interceptor_ != nullptr) interceptor_->OnVertexAccess(opts_.server_id, vid);
+  if (interceptor_ != nullptr) interceptor_->OnVertexAccess(opts_.server_id, vid, opts_.device);
   if (opts_.device != nullptr) opts_.device->ChargeAccess(bytes, warm);
 }
 

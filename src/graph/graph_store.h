@@ -20,12 +20,13 @@
 
 namespace gt::graph {
 
-// Called before the store performs a vertex access; implementations may
-// sleep to emulate external interference.
+// Called before the store performs a vertex access, with the store's device
+// (null if it has none); implementations may sleep to emulate external
+// interference.
 class AccessInterceptor {
  public:
   virtual ~AccessInterceptor() = default;
-  virtual void OnVertexAccess(uint32_t server_id, VertexId vid) = 0;
+  virtual void OnVertexAccess(uint32_t server_id, VertexId vid, DeviceModel* device) = 0;
 };
 
 struct GraphStoreOptions {

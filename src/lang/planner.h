@@ -31,15 +31,6 @@ struct PlanStats {
   uint64_t total_edges = 0;
   std::map<graph::LabelId, uint64_t> vertices_per_type;
   std::map<graph::LabelId, uint64_t> edges_per_label;
-
-  double avg_out_degree(graph::LabelId edge_label) const {
-    if (total_vertices == 0) return 0.0;
-    auto it = edges_per_label.find(edge_label);
-    const double edges = it == edges_per_label.end()
-                             ? static_cast<double>(total_edges)
-                             : static_cast<double>(it->second);
-    return edges / static_cast<double>(total_vertices);
-  }
 };
 
 // Which rewrites ran (for goldens and for the bench's self-report).

@@ -324,10 +324,10 @@ TEST(StragglerTest, RuleMatchesServerAndStep) {
   injector.AddRule(StragglerRule{.server_id = 1, .step = 3, .delay_us = 1, .max_hits = 0});
 
   tls_current_step = 3;
-  injector.OnVertexAccess(1, 100);  // matches
-  injector.OnVertexAccess(2, 100);  // wrong server
+  injector.OnVertexAccess(1, 100, nullptr);  // matches
+  injector.OnVertexAccess(2, 100, nullptr);  // wrong server
   tls_current_step = 2;
-  injector.OnVertexAccess(1, 100);  // wrong step
+  injector.OnVertexAccess(1, 100, nullptr);  // wrong step
   tls_current_step = -1;
   EXPECT_EQ(injector.total_injected_delays(), 1u);
 }
@@ -336,7 +336,7 @@ TEST(StragglerTest, AnyStepRuleAndMaxHits) {
   StragglerInjector injector;
   injector.AddRule(StragglerRule{.server_id = 0, .step = -1, .delay_us = 1, .max_hits = 2});
   tls_current_step = 0;
-  for (int i = 0; i < 5; i++) injector.OnVertexAccess(0, i);
+  for (int i = 0; i < 5; i++) injector.OnVertexAccess(0, i, nullptr);
   tls_current_step = -1;
   EXPECT_EQ(injector.total_injected_delays(), 2u);
 }
@@ -344,11 +344,10 @@ TEST(StragglerTest, AnyStepRuleAndMaxHits) {
 TEST(StragglerTest, DelayIsActuallyInjected) {
   DeviceModel device;
   StragglerInjector injector;
-  injector.SetDevice(0, &device);
   injector.AddRule(StragglerRule{.server_id = 0, .step = -1, .delay_us = 5000, .max_hits = 1});
   tls_current_step = 1;
   Stopwatch watch;
-  injector.OnVertexAccess(0, 1);
+  injector.OnVertexAccess(0, 1, &device);
   tls_current_step = -1;
   EXPECT_GE(watch.ElapsedMicros(), 4000u);
   EXPECT_EQ(device.injected_us(), 5000u);
@@ -359,7 +358,7 @@ TEST(StragglerTest, ClearRulesStopsInjection) {
   injector.AddRule(StragglerRule{.server_id = 0, .step = -1, .delay_us = 1, .max_hits = 0});
   injector.ClearRules();
   tls_current_step = 0;
-  injector.OnVertexAccess(0, 1);
+  injector.OnVertexAccess(0, 1, nullptr);
   tls_current_step = -1;
   EXPECT_EQ(injector.total_injected_delays(), 0u);
 }

@@ -426,15 +426,12 @@ TEST(EngineFeatureTest, InjectedStragglerSlowsSyncMoreThanGraphTrek) {
     gt_straggled = std::min(gt_straggled, straggled_run(EngineMode::kGraphTrek));
   }
 
-  // Both engines must feel the delay; the time the straggler adds to the
-  // asynchronous engine must not exceed what it adds to the synchronous one
-  // by more than noise. (Added time, not the ratio to each baseline: the
-  // delayed accesses are serialised on server 2's workers in both engines,
-  // so a ratio would mostly compare the two baselines.)
+  // Both engines must feel the delay; the asynchronous engine's *relative*
+  // penalty must not exceed the synchronous one's by more than noise.
   EXPECT_GT(sync_straggled, sync_base);
   EXPECT_GT(gt_straggled, gt_base);
-  const double sync_penalty = sync_straggled - sync_base;
-  const double gt_penalty = gt_straggled - gt_base;
+  const double sync_penalty = sync_straggled / sync_base;
+  const double gt_penalty = gt_straggled / gt_base;
   EXPECT_LT(gt_penalty, sync_penalty * 1.5)
       << "sync " << sync_base << "->" << sync_straggled << " gt " << gt_base << "->"
       << gt_straggled;

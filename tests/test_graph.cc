@@ -415,7 +415,7 @@ TEST_F(GraphStoreTest, AccessesChargeDeviceModel) {
 TEST_F(GraphStoreTest, InterceptorSeesEveryAccess) {
   class CountingInterceptor : public AccessInterceptor {
    public:
-    void OnVertexAccess(uint32_t, VertexId) override { count++; }
+    void OnVertexAccess(uint32_t, VertexId, DeviceModel*) override { count++; }
     int count = 0;
   };
   CountingInterceptor interceptor;

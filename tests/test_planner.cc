@@ -60,7 +60,6 @@ TEST(PlannerTest, CollectPlanStatsCountsTypesAndLabels) {
   EXPECT_EQ(stats.vertices_per_type.at(catalog.Lookup("A")), 2u);
   EXPECT_EQ(stats.vertices_per_type.at(catalog.Lookup("B")), 8u);
   EXPECT_EQ(stats.edges_per_label.at(catalog.Lookup("x")), 30u);
-  EXPECT_DOUBLE_EQ(stats.avg_out_degree(catalog.Lookup("x")), 3.0);
 }
 
 TEST(PlannerTest, TypeEqSelectivityUsesTrueFraction) {
